@@ -269,25 +269,30 @@ impl Experiment {
 
 /// Digest a key/value set into 32 hex characters, independent of the order
 /// the pairs are supplied in (they are sorted by key, then value, before
-/// hashing). Two FNV-1a streams with distinct offset bases give a 128-bit
-/// identifier without external hash dependencies.
+/// hashing) — [`fnv128_hex`] over the `key=value\n` lines.
 pub fn digest_kv(pairs: &[(String, String)]) -> String {
     let mut sorted: Vec<&(String, String)> = pairs.iter().collect();
     sorted.sort();
+    let mut bytes = Vec::new();
+    for (k, v) in sorted {
+        bytes.extend_from_slice(k.as_bytes());
+        bytes.push(b'=');
+        bytes.extend_from_slice(v.as_bytes());
+        bytes.push(b'\n');
+    }
+    fnv128_hex(&bytes)
+}
+
+/// 128-bit dual-stream FNV-1a over raw bytes, as 32 hex characters. Two
+/// FNV-1a streams with distinct offset bases give a 128-bit identifier
+/// without external hash dependencies.
+pub fn fnv128_hex(bytes: &[u8]) -> String {
     const PRIME: u64 = 0x100000001b3;
     let mut h1: u64 = 0xcbf29ce484222325;
     let mut h2: u64 = h1 ^ 0x9e3779b97f4a7c15;
-    for (k, v) in sorted {
-        for b in k
-            .as_bytes()
-            .iter()
-            .chain(b"=")
-            .chain(v.as_bytes())
-            .chain(b"\n")
-        {
-            h1 = (h1 ^ u64::from(*b)).wrapping_mul(PRIME);
-            h2 = (h2 ^ u64::from(*b)).wrapping_mul(PRIME);
-        }
+    for &b in bytes {
+        h1 = (h1 ^ u64::from(b)).wrapping_mul(PRIME);
+        h2 = (h2 ^ u64::from(b)).wrapping_mul(PRIME);
     }
     format!("{h1:016x}{h2:016x}")
 }

@@ -34,7 +34,7 @@ pub fn fig1(_cfg: &BenchConfig) -> ExperimentResult {
     let quad = count_links(&topo, XgmiWidth::Quad);
     let dual = count_links(&topo, XgmiWidth::Dual);
     let single = count_links(&topo, XgmiWidth::Single);
-    let router = Router::new(&topo);
+    let router = Router::shared(&topo);
     let max_hops = topo
         .gcds()
         .flat_map(|a| topo.gcds().map(move |b| (a, b)))

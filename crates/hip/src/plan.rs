@@ -131,17 +131,13 @@ impl<'a> PlanCtx<'a> {
         match &alloc.pages {
             None => alloc.home,
             Some(pt) => {
-                let mut best = (alloc.home, pt.resident_bytes(alloc.home));
-                for gcd in self.topo.gcds() {
-                    let s = MemSpace::Hbm(gcd);
-                    let b = pt.resident_bytes(s);
-                    if b > best.1 {
-                        best = (s, b);
-                    }
-                }
-                for numa in self.topo.numa_domains() {
-                    let s = MemSpace::Ddr(numa);
-                    let b = pt.resident_bytes(s);
+                // Ascending space order (GCD HBM, then NUMA DDR) is the
+                // topology's own order, so strict `>` breaks ties toward
+                // the home space first, then the lowest space.
+                let totals = pt.resident_bytes_by_space();
+                let home = totals.iter().find(|(s, _)| *s == alloc.home);
+                let mut best = (alloc.home, home.map_or(0, |&(_, b)| b));
+                for (s, b) in totals {
                     if b > best.1 {
                         best = (s, b);
                     }

@@ -15,11 +15,14 @@ use ifsim_fabric::{Calibration, FaultEvent, FaultKind, FaultPlan, FlowId, FlowNe
 use ifsim_memory::{BufferId, HostAllocFlags, MemKind, MemSpace, MemorySystem};
 use ifsim_topology::{GcdId, LinkHealth, LinkId, LinkKind, NodeTopology, NumaId, PortId, Router};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Internal state the event engine operates on.
 pub struct Inner {
     topo: NodeTopology,
-    router: Router,
+    /// Process-wide shared while the fabric is healthy; replaced by a
+    /// sim-private router once a fault changes link health.
+    router: Arc<Router>,
     calib: Calibration,
     env: EnvConfig,
     devices: DeviceTable,
@@ -102,7 +105,7 @@ impl HipSim {
 
     /// Fully custom runtime (topology ablations, calibration variants).
     pub fn with_config(topo: NodeTopology, calib: Calibration, env: EnvConfig, seed: u64) -> Self {
-        let router = Router::new(&topo);
+        let router = Router::shared(&topo);
         let devices = DeviceTable::new(&topo, &env).expect("valid device visibility");
         let segmap = SegmentMap::new(&topo);
         let net = FlowNet::new(segmap);
@@ -1485,7 +1488,10 @@ impl Inner {
     /// mid-flight reroute. Downed links disappear from the graph; degraded
     /// links lose bandwidth-ordering priority.
     fn rebuild_router(&mut self) {
-        self.router = Router::new_with_health(&self.topo, self.fabric_health.health());
+        self.router = Arc::new(Router::new_with_health(
+            &self.topo,
+            self.fabric_health.health(),
+        ));
     }
 
     /// Apply one scheduled fault: update health state, re-derive link

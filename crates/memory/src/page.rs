@@ -1,18 +1,28 @@
-//! Per-page residency tracking for managed (unified) memory.
+//! Page residency tracking for managed (unified) memory.
 //!
 //! `hipMallocManaged` memory has one virtual address range whose pages can
 //! live in any physical space. With XNACK enabled, a GPU touching a
 //! non-resident page faults and the driver migrates the whole page —
 //! "independent of the size of the data being accessed" (paper §II-C).
+//!
+//! Residency is kept as run-length intervals: sorted runs of pages that
+//! share one space. Every query keeps per-page semantics (counts are in
+//! whole pages, the tail page holds only the allocation's remaining
+//! bytes), but costs O(runs touched) instead of O(pages), so a 1 GiB
+//! migration is one splice, not 262,144 page updates.
 
 use crate::space::MemSpace;
+use std::ops::Range;
 
 /// Residency of each page of a managed allocation.
 #[derive(Clone, Debug)]
 pub struct PageTable {
     page_size: u64,
     bytes: u64,
-    residency: Vec<MemSpace>,
+    /// `(first_page, space)` runs, sorted by first page. The first run
+    /// starts at page 0, each run ends where the next begins (the last at
+    /// the page count), and adjacent runs never share a space.
+    runs: Vec<(usize, MemSpace)>,
 }
 
 impl PageTable {
@@ -21,11 +31,10 @@ impl PageTable {
     pub fn new(bytes: u64, page_size: u64, home: MemSpace) -> Self {
         assert!(page_size > 0, "zero page size");
         assert!(bytes > 0, "zero-length page table");
-        let n_pages = bytes.div_ceil(page_size) as usize;
         PageTable {
             page_size,
             bytes,
-            residency: vec![home; n_pages],
+            runs: vec![(0, home)],
         }
     }
 
@@ -36,7 +45,7 @@ impl PageTable {
 
     /// Number of pages.
     pub fn n_pages(&self) -> usize {
-        self.residency.len()
+        self.bytes.div_ceil(self.page_size) as usize
     }
 
     /// The page index covering byte `offset`.
@@ -46,7 +55,7 @@ impl PageTable {
     }
 
     /// Page indices covering `[offset, offset + len)`.
-    pub fn pages_in(&self, offset: u64, len: u64) -> std::ops::Range<usize> {
+    pub fn pages_in(&self, offset: u64, len: u64) -> Range<usize> {
         assert!(len > 0, "empty range");
         assert!(
             offset + len <= self.bytes,
@@ -60,41 +69,107 @@ impl PageTable {
 
     /// Where a page currently lives.
     pub fn residency(&self, page: usize) -> MemSpace {
-        self.residency[page]
+        assert!(
+            page < self.n_pages(),
+            "page {page} beyond {}",
+            self.n_pages()
+        );
+        self.runs[self.run_index(page)].1
+    }
+
+    /// The residency runs in page order: each page range and its space.
+    pub fn runs(&self) -> impl Iterator<Item = (Range<usize>, MemSpace)> + '_ {
+        self.runs_in(0..self.n_pages())
     }
 
     /// Pages in the range *not* resident in `space` (the ones XNACK would
     /// fault on and migrate).
     pub fn non_resident_pages(&self, offset: u64, len: u64, space: MemSpace) -> usize {
-        self.pages_in(offset, len)
-            .filter(|&p| self.residency[p] != space)
-            .count()
+        self.runs_in(self.pages_in(offset, len))
+            .filter(|(_, s)| *s != space)
+            .map(|(pages, _)| pages.len())
+            .sum()
     }
 
     /// Migrate every page of the range to `space`; returns how many pages
     /// actually moved.
     pub fn migrate_range(&mut self, offset: u64, len: u64, space: MemSpace) -> usize {
-        let mut moved = 0;
-        for p in self.pages_in(offset, len) {
-            if self.residency[p] != space {
-                self.residency[p] = space;
-                moved += 1;
-            }
+        let pages = self.pages_in(offset, len);
+        let moved = self.non_resident_pages(offset, len, space);
+        if moved == 0 {
+            return 0;
+        }
+        // Replace the runs covering the range with one run of `space`,
+        // keeping the uncovered heads/tails of the first and last run.
+        let i = self.run_index(pages.start);
+        let j = self.run_index(pages.end - 1);
+        let head = (self.runs[i].0 < pages.start).then_some(self.runs[i]);
+        let tail = (pages.end < self.run_end(j)).then_some((pages.end, self.runs[j].1));
+        let k = i + usize::from(head.is_some());
+        let replacement = head
+            .into_iter()
+            .chain(Some((pages.start, space)))
+            .chain(tail);
+        self.runs.splice(i..=j, replacement);
+        // The new run `k` may abut neighbours in the same space: merge them
+        // so adjacent runs always differ.
+        if self.runs.get(k + 1).is_some_and(|r| r.1 == space) {
+            self.runs.remove(k + 1);
+        }
+        if k > 0 && self.runs[k - 1].1 == space {
+            self.runs.remove(k);
         }
         moved
     }
 
     /// Bytes resident in `space` across the whole allocation.
     pub fn resident_bytes(&self, space: MemSpace) -> u64 {
-        let mut total = 0;
-        for (p, r) in self.residency.iter().enumerate() {
-            if *r == space {
-                let start = p as u64 * self.page_size;
-                let end = (start + self.page_size).min(self.bytes);
-                total += end - start;
+        self.runs()
+            .filter(|(_, s)| *s == space)
+            .map(|(pages, _)| self.span_bytes(pages))
+            .sum()
+    }
+
+    /// Bytes resident in each space, one entry per space that holds any,
+    /// in ascending space order — one pass over the runs.
+    pub fn resident_bytes_by_space(&self) -> Vec<(MemSpace, u64)> {
+        let mut totals: Vec<(MemSpace, u64)> = Vec::new();
+        for (pages, space) in self.runs() {
+            let bytes = self.span_bytes(pages);
+            match totals.iter_mut().find(|(s, _)| *s == space) {
+                Some(t) => t.1 += bytes,
+                None => totals.push((space, bytes)),
             }
         }
-        total
+        totals.sort();
+        totals
+    }
+
+    /// Bytes covered by a page range (the tail page is partial).
+    fn span_bytes(&self, pages: Range<usize>) -> u64 {
+        let start = pages.start as u64 * self.page_size;
+        let end = (pages.end as u64 * self.page_size).min(self.bytes);
+        end - start
+    }
+
+    /// Index of the run holding `page`.
+    fn run_index(&self, page: usize) -> usize {
+        self.runs.partition_point(|&(first, _)| first <= page) - 1
+    }
+
+    /// One past the last page of run `i`.
+    fn run_end(&self, i: usize) -> usize {
+        self.runs.get(i + 1).map_or_else(|| self.n_pages(), |r| r.0)
+    }
+
+    /// The runs overlapping `pages`, clipped to it.
+    fn runs_in(&self, pages: Range<usize>) -> impl Iterator<Item = (Range<usize>, MemSpace)> + '_ {
+        (self.run_index(pages.start)..self.runs.len())
+            .map(move |i| {
+                let clipped = self.runs[i].0.max(pages.start)..self.run_end(i).min(pages.end);
+                (clipped, self.runs[i].1)
+            })
+            .take_while(|(clipped, _)| !clipped.is_empty())
     }
 }
 

@@ -12,7 +12,7 @@ use ifsim_topology::Router;
 /// Fig. 6a: shortest-path hop counts between all GCD pairs.
 pub fn hop_matrix() -> Matrix {
     let topo = NodeTopology::frontier();
-    let router = Router::new(&topo);
+    let router = Router::shared(&topo);
     let table = ifsim_topology::hop_matrix(&topo, &router);
     let n = table.len();
     let mut m = Matrix::new("shortest path length", "hops", n);

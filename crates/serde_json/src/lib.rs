@@ -215,6 +215,7 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -322,9 +323,17 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`from_str`] accepts (the real
+/// `serde_json`'s recursion limit). The parser recurses once per level, so
+/// without a bound a line of `[`s overflows the stack and aborts the
+/// process instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -369,11 +378,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one array or object, one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -537,6 +558,21 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let e = from_str(&deep).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert_eq!(e.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(from_str(&objects).unwrap_err().message.contains("nesting"));
+        // The limit itself still parses.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str(&at_limit).is_ok());
+        let past = format!("[{at_limit}]");
+        assert!(from_str(&past).is_err());
+    }
 
     #[test]
     fn parses_scalars() {

@@ -91,7 +91,10 @@ fn parse_args() -> Args {
                 opts.request_timeout_ms =
                     parse_num("--request-timeout-ms", next("--request-timeout-ms")) as u64;
             }
-            "--trace-out" => trace_out = Some(PathBuf::from(next("--trace-out"))),
+            "--trace-out" => {
+                trace_out = Some(PathBuf::from(next("--trace-out")));
+                opts.record_spans = true;
+            }
             "--metrics-out" => metrics_out = Some(PathBuf::from(next("--metrics-out"))),
             "--http" => http = Some(next("--http")),
             "--help" | "-h" => usage("help requested"),

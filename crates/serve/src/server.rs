@@ -70,6 +70,10 @@ pub struct ServeOptions {
     /// Hard per-request wall-clock budget in milliseconds applied even
     /// to requests without a `deadline_ms`; `0` disables it.
     pub request_timeout_ms: u64,
+    /// Keep one timeline span per request for a Chrome-trace export
+    /// (`--trace-out`). Off otherwise: the spans are only ever read by
+    /// that export, and a long-lived daemon would grow by one per request.
+    pub record_spans: bool,
 }
 
 impl Default for ServeOptions {
@@ -81,6 +85,7 @@ impl Default for ServeOptions {
             cache_bytes: 256 << 20,
             cache_dir: None,
             request_timeout_ms: 0,
+            record_spans: false,
         }
     }
 }
@@ -985,8 +990,8 @@ impl ServerCore {
 
     /// Account one handled request into metrics and the trace timeline:
     /// the request counter, the latency histogram (with a trace-id
-    /// exemplar), and a span carrying the trace id plus the per-phase
-    /// breakdown for run requests.
+    /// exemplar), and — when spans are recorded — a span carrying the
+    /// trace id plus the per-phase breakdown for run requests.
     fn observe_request(
         &self,
         op: &str,
@@ -1012,6 +1017,9 @@ impl ServerCore {
                 latency_ns,
                 trace_id,
             );
+        }
+        if !self.opts.record_spans {
+            return;
         }
         let start = ifsim_core::des::Time::from_ns(start_ns);
         let end = ifsim_core::des::Time::from_ns(start_ns + latency_ns);
@@ -1138,7 +1146,9 @@ pub struct Server {
     /// What the persistent-cache recovery scan found at bind time
     /// (`None` without a `cache_dir`).
     pub scan_report: Option<ScanReport>,
-    /// Chrome trace of request lifecycles, written at exit.
+    /// Chrome trace of request lifecycles, written at exit. Its request
+    /// spans exist only when the core was built with
+    /// [`ServeOptions::record_spans`].
     pub trace_out: Option<PathBuf>,
     /// Metrics snapshot (stats schema), written at exit.
     pub metrics_out: Option<PathBuf>,

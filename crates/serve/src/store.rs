@@ -314,18 +314,9 @@ impl DiskStore {
     }
 }
 
-/// 128-bit dual-stream FNV-1a over raw bytes, as 32 hex characters — the
-/// entry checksum (same construction as `Experiment::config_digest`).
-pub fn fnv128_hex(bytes: &[u8]) -> String {
-    const PRIME: u64 = 0x100000001b3;
-    let mut h1: u64 = 0xcbf29ce484222325;
-    let mut h2: u64 = h1 ^ 0x9e3779b97f4a7c15;
-    for &b in bytes {
-        h1 = (h1 ^ u64::from(b)).wrapping_mul(PRIME);
-        h2 = (h2 ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    format!("{h1:016x}{h2:016x}")
-}
+/// The entry checksum: the same 128-bit dual-stream FNV-1a construction
+/// as `Experiment::config_digest`.
+pub use ifsim_core::experiment::fnv128_hex;
 
 /// Serialize one run to its on-disk entry bytes (header + JSON payload).
 /// Public so the chaos harness and the torn-write property tests can

@@ -476,3 +476,50 @@ fn scenario_errors_name_the_offending_field() {
     assert_eq!(v.get("code").and_then(Value::as_u64), Some(400));
     assert_eq!(v.get("field").and_then(Value::as_str), Some("artifacts[0]"));
 }
+
+/// A line nested past the JSON parser's depth limit is a structured 400,
+/// not a stack overflow that takes the process down, and the same core
+/// keeps serving.
+#[test]
+fn too_deeply_nested_line_is_a_bad_request_and_the_core_keeps_serving() {
+    let core = small_core();
+    let v: Value = serde_json::from_str(&core.handle_line(&"[".repeat(200_000))).unwrap();
+    assert_eq!(v.get("code").and_then(Value::as_u64), Some(400));
+    assert_eq!(
+        v.get("status").and_then(Value::as_str),
+        Some(Status::BadRequest.as_str())
+    );
+    let error = v.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("nesting"), "{error}");
+    let next = parse_run(&core.handle_line(&run_line("fig1")));
+    assert_eq!(next.status, Status::Ok);
+}
+
+/// Request spans exist only for a trace export: by default a core keeps
+/// none, however many requests it serves, while metrics still count them.
+#[test]
+fn request_spans_are_kept_only_when_recording_is_asked_for() {
+    let spans = |core: &ServerCore| {
+        core.collected_telemetry()
+            .events()
+            .iter()
+            .filter(|e| e.cat == "serve_request")
+            .count()
+    };
+    let quiet = small_core();
+    let recording = ServerCore::new(ServeOptions {
+        workers: 2,
+        queue_depth: 4,
+        record_spans: true,
+        ..ServeOptions::default()
+    });
+    for _ in 0..5 {
+        quiet.handle_line(r#"{"op":"ping"}"#);
+        recording.handle_line(r#"{"op":"ping"}"#);
+    }
+    assert_eq!(spans(&quiet), 0);
+    assert_eq!(spans(&recording), 5);
+    assert!(quiet
+        .prometheus_text()
+        .contains("serve_requests_total{code=\"200\",op=\"ping\"} 5"));
+}

@@ -29,7 +29,7 @@ impl Default for NodeConfig {
 }
 
 /// An immutable node interconnect graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeTopology {
     config: NodeConfig,
     links: Vec<LinkSpec>,

@@ -20,6 +20,7 @@ use crate::ids::{GcdId, LinkId, NumaId, PortId};
 use crate::link::LinkKind;
 use crate::node::NodeTopology;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Route selection policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -114,6 +115,12 @@ fn max_hops(topo: &NodeTopology) -> usize {
     topo.n_gcds().saturating_sub(1).clamp(4, 7)
 }
 
+/// Healthy routers already built, keyed by topology equality. A process
+/// uses a handful of topologies; past `SHARED_CAP` the oldest entry is
+/// dropped, so sweeps over custom topologies cannot grow it without bound.
+static SHARED: Mutex<Vec<(NodeTopology, Arc<Router>)>> = Mutex::new(Vec::new());
+const SHARED_CAP: usize = 8;
+
 impl Router {
     /// Precompute routes for all GCD pairs (both policies) and all
     /// GCD→NUMA pairs, assuming every link is healthy.
@@ -134,6 +141,35 @@ impl Router {
             }
         }
         router
+    }
+
+    /// The healthy router for `topo`, built once per process and shared:
+    /// routes depend on the topology alone, so every simulator over an
+    /// equal topology can hold the same immutable instance. A simulator
+    /// whose link health changes builds its own with
+    /// [`Router::new_with_health`] and never touches the shared one.
+    pub fn shared(topo: &NodeTopology) -> Arc<Router> {
+        let memo = || SHARED.lock().expect("router memo lock");
+        let lookup = |memo: &[(NodeTopology, Arc<Router>)]| {
+            memo.iter()
+                .find(|(t, _)| t == topo)
+                .map(|(_, r)| Arc::clone(r))
+        };
+        if let Some(r) = lookup(&memo()) {
+            return r;
+        }
+        // Built outside the lock: a disconnected topology panics here
+        // without poisoning the memo, and other threads are not held up.
+        let built = Arc::new(Router::new(topo));
+        let mut memo = memo();
+        if let Some(r) = lookup(&memo) {
+            return r;
+        }
+        if memo.len() == SHARED_CAP {
+            memo.remove(0);
+        }
+        memo.push((topo.clone(), Arc::clone(&built)));
+        built
     }
 
     /// Precompute routes honoring a [`HealthMap`]: downed links are never
