@@ -179,4 +179,14 @@ if ! awk -v r="$RATIO" 'BEGIN { exit !(r >= 1.0) }'; then
 fi
 echo "    incremental_vs_full_add_drain_10k = $RATIO"
 
+echo "==> perfbench: benchmark tests + registry-plain smoke"
+# The repo benchmark builds from this checkout. Its tests check that the
+# count metrics repeat exactly for a fixed seed; the short registry-plain
+# run replays all 24 registry experiments (the 76 paper checks) and the
+# golden identity checks through it and exits non-zero if any fails.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload registry-plain --seed 0 --seconds 3 --trace 0 > /dev/null
+
 echo "CI green."

@@ -76,34 +76,54 @@ fn edge_cost(topo: &NodeTopology, router: &Router, a: GcdId, b: GcdId) -> (usize
 }
 
 fn optimal_ring(topo: &NodeTopology, router: &Router, members: &[GcdId]) -> Ring {
-    // Fix the first member; permute the rest. n = 8 → 7! = 5040 candidates.
-    let first = members[0];
-    let mut rest: Vec<GcdId> = members[1..].to_vec();
-    let mut best: Option<(RingScore, Vec<GcdId>)> = None;
-    permute(&mut rest, 0, &mut |perm| {
-        let mut order = Vec::with_capacity(members.len());
-        order.push(first);
-        order.extend_from_slice(perm);
-        let score = score_ring(topo, router, &order);
+    // Every directed edge's cost, computed once (`cost[a * n + b]` for
+    // member indices): the search below scores from this table instead of
+    // querying the router.
+    let n = members.len();
+    let cost: Vec<(usize, f64)> = members
+        .iter()
+        .flat_map(|&a| {
+            members.iter().map(move |&b| {
+                if a == b {
+                    (0, 0.0)
+                } else {
+                    edge_cost(topo, router, a, b)
+                }
+            })
+        })
+        .collect();
+    // Fix the first member; permute the rest. n = 8 → 7! = 5040 candidates,
+    // enumerated in a fixed order; a later candidate wins only if strictly
+    // better, so ties keep the first.
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut best: Option<(RingScore, Vec<usize>)> = None;
+    permute(&mut order, 1, &mut |order| {
+        let score = score_ring(&cost, n, order);
         match &best {
             Some((bs, _)) if *bs <= score => {}
-            _ => best = Some((score, order)),
+            _ => best = Some((score, order.to_vec())),
         }
     });
     Ring {
-        order: best.expect("at least one permutation").1,
+        order: best
+            .expect("at least one permutation")
+            .1
+            .into_iter()
+            .map(|i| members[i])
+            .collect(),
     }
 }
 
 /// `(worst hops, worst 1/bw bits, total hops)` — lower is better.
 type RingScore = (usize, u64, usize);
 
-fn score_ring(topo: &NodeTopology, router: &Router, order: &[GcdId]) -> RingScore {
+fn score_ring(cost: &[(usize, f64)], n: usize, order: &[usize]) -> RingScore {
     let mut worst_hops = 0;
     let mut worst_inv_bw: f64 = 0.0;
     let mut total_hops = 0;
-    for i in 0..order.len() {
-        let (h, inv) = edge_cost(topo, router, order[i], order[(i + 1) % order.len()]);
+    let edges = order.windows(2).map(|e| (e[0], e[1]));
+    for (a, b) in edges.chain([(order[n - 1], order[0])]) {
+        let (h, inv) = cost[a * n + b];
         worst_hops = worst_hops.max(h);
         worst_inv_bw = worst_inv_bw.max(inv);
         total_hops += h;
@@ -111,7 +131,7 @@ fn score_ring(topo: &NodeTopology, router: &Router, order: &[GcdId]) -> RingScor
     (worst_hops, worst_inv_bw.to_bits(), total_hops)
 }
 
-fn permute(items: &mut Vec<GcdId>, k: usize, f: &mut impl FnMut(&[GcdId])) {
+fn permute(items: &mut [usize], k: usize, f: &mut impl FnMut(&[usize])) {
     if k == items.len() {
         f(items);
         return;
@@ -126,6 +146,7 @@ fn permute(items: &mut Vec<GcdId>, k: usize, f: &mut impl FnMut(&[GcdId])) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifsim_topology::{HealthMap, LinkHealth, LinkId, LinkKind, PortId};
 
     fn setup() -> (NodeTopology, Router) {
         let t = NodeTopology::frontier();
@@ -189,6 +210,58 @@ mod tests {
         let ring = build_ring(&t, &r, &[GcdId(0), GcdId(1)]);
         assert_eq!(ring.order, vec![GcdId(0), GcdId(1)]);
         assert!(t.xgmi_width(GcdId(0), GcdId(1)).is_some());
+    }
+
+    /// The full-node ring under `health`, as GCD numbers.
+    fn full_ring_with(t: &NodeTopology, health: &HealthMap) -> Vec<u8> {
+        let r = Router::new_with_health(t, health);
+        build_ring(t, &r, &all_gcds(t))
+            .order
+            .iter()
+            .map(|g| g.0)
+            .collect()
+    }
+
+    #[test]
+    fn full_node_ring_order_is_pinned_for_every_single_link_down() {
+        // Expected orders come from a brute-force search that queried the
+        // router for every edge of every candidate. The table-scored search
+        // must pick the same ring on a healthy Frontier node and with each
+        // xGMI link down in turn (links in topology order).
+        let t = NodeTopology::frontier();
+        assert_eq!(
+            full_ring_with(&t, &HealthMap::healthy(&t)),
+            [0, 1, 3, 2, 4, 5, 7, 6]
+        );
+        let expected: [(u8, u8, [u8; 8]); 12] = [
+            (0, 1, [0, 2, 4, 5, 1, 3, 7, 6]),
+            (2, 3, [0, 2, 4, 5, 1, 3, 7, 6]),
+            (4, 5, [0, 1, 5, 7, 3, 2, 4, 6]),
+            (6, 7, [0, 1, 5, 7, 3, 2, 4, 6]),
+            (0, 6, [0, 1, 5, 4, 6, 7, 3, 2]),
+            (2, 4, [0, 1, 5, 4, 6, 7, 3, 2]),
+            (0, 2, [0, 1, 3, 2, 4, 5, 7, 6]),
+            (1, 3, [0, 1, 5, 4, 2, 3, 7, 6]),
+            (1, 5, [0, 1, 3, 2, 4, 5, 7, 6]),
+            (3, 7, [0, 1, 3, 2, 4, 5, 7, 6]),
+            (4, 6, [0, 1, 3, 2, 4, 5, 7, 6]),
+            (5, 7, [0, 1, 5, 4, 2, 3, 7, 6]),
+        ];
+        let xgmi: Vec<LinkId> = (0..t.links().len() as u32)
+            .map(LinkId)
+            .filter(|&l| matches!(t.link(l).kind, LinkKind::Xgmi(_)))
+            .collect();
+        assert_eq!(xgmi.len(), expected.len());
+        for (link, (a, b, ring)) in xgmi.into_iter().zip(expected) {
+            let spec = t.link(link);
+            assert_eq!(
+                (spec.a, spec.b),
+                (PortId::Gcd(GcdId(a)), PortId::Gcd(GcdId(b)))
+            );
+            let mut health = HealthMap::healthy(&t);
+            health.set(link, LinkHealth::Down);
+            assert_eq!(full_ring_with(&t, &health), ring, "link {a}-{b} down");
+        }
     }
 
     #[test]

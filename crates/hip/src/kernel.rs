@@ -137,36 +137,18 @@ impl KernelSpec {
                 )));
             }
         }
-        let all_real = self
-            .reads()
-            .iter()
-            .chain(self.writes().iter())
-            .all(|(buf, _)| mem.get(*buf).map(|a| a.backing.is_real()).unwrap_or(false));
-        if !all_real {
-            return Ok(false);
-        }
-        match *self {
+        Ok(match *self {
             KernelSpec::StreamCopy { src, dst, elems } => {
-                let v = mem.read_f32s(src, 0, elems)?.expect("real");
-                mem.write_f32s(dst, 0, &v)?;
+                mem.map_f32s((dst, 0), [(src, 0)], elems, |[x]| x)?
             }
             KernelSpec::StreamScale {
                 src,
                 dst,
                 scalar,
                 elems,
-            } => {
-                let mut v = mem.read_f32s(src, 0, elems)?.expect("real");
-                for x in &mut v {
-                    *x *= scalar;
-                }
-                mem.write_f32s(dst, 0, &v)?;
-            }
+            } => mem.map_f32s((dst, 0), [(src, 0)], elems, |[x]| x * scalar)?,
             KernelSpec::StreamAdd { a, b, dst, elems } => {
-                let va = mem.read_f32s(a, 0, elems)?.expect("real");
-                let vb = mem.read_f32s(b, 0, elems)?.expect("real");
-                let out: Vec<f32> = va.iter().zip(&vb).map(|(x, y)| x + y).collect();
-                mem.write_f32s(dst, 0, &out)?;
+                mem.map_f32s((dst, 0), [(a, 0), (b, 0)], elems, |[x, y]| x + y)?
             }
             KernelSpec::StreamTriad {
                 a,
@@ -174,18 +156,12 @@ impl KernelSpec {
                 dst,
                 scalar,
                 elems,
-            } => {
-                let va = mem.read_f32s(a, 0, elems)?.expect("real");
-                let vb = mem.read_f32s(b, 0, elems)?.expect("real");
-                let out: Vec<f32> = va.iter().zip(&vb).map(|(x, y)| x + scalar * y).collect();
-                mem.write_f32s(dst, 0, &out)?;
-            }
+            } => mem.map_f32s((dst, 0), [(a, 0), (b, 0)], elems, |[x, y]| x + scalar * y)?,
             KernelSpec::Init { dst, value, elems } => {
-                mem.write_f32s(dst, 0, &vec![value; elems])?;
+                mem.map_f32s((dst, 0), [], elems, |[]| value)?
             }
-            KernelSpec::Touch { .. } => {}
-        }
-        Ok(true)
+            KernelSpec::Touch { buf, .. } => mem.get(buf)?.backing.is_real(),
+        })
     }
 }
 

@@ -20,8 +20,8 @@ use std::sync::Arc;
 /// Internal state the event engine operates on.
 pub struct Inner {
     topo: NodeTopology,
-    /// Process-wide shared while the fabric is healthy; replaced by a
-    /// sim-private router once a fault changes link health.
+    /// Process-wide shared per (topology, link health): a fault swaps in
+    /// the router of the new health map, built once per process.
     router: Arc<Router>,
     calib: Calibration,
     env: EnvConfig,
@@ -1484,14 +1484,12 @@ impl Inner {
 
     // ---------------- fault application & recovery ----------------
 
-    /// Recompute all routes against the current per-link health: the
-    /// mid-flight reroute. Downed links disappear from the graph; degraded
-    /// links lose bandwidth-ordering priority.
+    /// Route against the current per-link health: the mid-flight reroute.
+    /// Downed links disappear from the graph; degraded links lose
+    /// bandwidth-ordering priority. Routers are shared per health map, so
+    /// a fault pattern seen before costs a lookup, not a rebuild.
     fn rebuild_router(&mut self) {
-        self.router = Arc::new(Router::new_with_health(
-            &self.topo,
-            self.fabric_health.health(),
-        ));
+        self.router = Router::shared_with_health(&self.topo, self.fabric_health.health());
     }
 
     /// Apply one scheduled fault: update health state, re-derive link
@@ -1786,22 +1784,9 @@ impl Inner {
                 dst_off,
                 elems,
             } => {
-                let arriving = self
-                    .mem
-                    .read_f32s(src, src_off, elems)
+                self.mem
+                    .reduce_add_f32s(src, src_off, dst, dst_off, elems)
                     .expect("validated at planning time");
-                let local = self
-                    .mem
-                    .read_f32s(dst, dst_off, elems)
-                    .expect("validated at planning time");
-                if let (Some(a), Some(mut l)) = (arriving, local) {
-                    for (x, y) in l.iter_mut().zip(&a) {
-                        *x += *y;
-                    }
-                    self.mem
-                        .write_f32s(dst, dst_off, &l)
-                        .expect("validated at planning time");
-                }
             }
             Effect::Migrate {
                 buf,
@@ -1825,15 +1810,9 @@ impl Inner {
                 value,
                 len,
             } => {
-                // Only materialize the fill on real backings — a phantom
-                // 8 GiB sweep buffer must not allocate 8 GiB of fill bytes.
-                let a = self.mem.get(dst).expect("validated at planning time");
-                assert!(offset + len <= a.bytes, "validated at planning time");
-                if a.backing.is_real() {
-                    self.mem
-                        .write_bytes(dst, offset, &vec![value; len as usize])
-                        .expect("bounds checked above");
-                }
+                self.mem
+                    .fill(dst, offset, len, value)
+                    .expect("validated at planning time");
             }
         }
     }

@@ -310,11 +310,19 @@ impl MemorySystem {
         offset: u64,
         data: &[f32],
     ) -> Result<bool, AllocError> {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        let a = self.get_mut(id)?;
+        let len = data.len() as u64 * 4;
+        assert!(offset + len <= a.bytes, "write beyond buffer end");
+        match a.backing.bytes_mut() {
+            Some(b) => {
+                let out = &mut b[offset as usize..(offset + len) as usize];
+                for (c, v) in out.chunks_exact_mut(4).zip(data) {
+                    c.copy_from_slice(&v.to_le_bytes());
+                }
+                Ok(true)
+            }
+            None => Ok(false),
         }
-        self.write_bytes(id, offset, &bytes)
     }
 
     /// Read a slice of `f32`s; `None` for phantom backing.
@@ -324,12 +332,128 @@ impl MemorySystem {
         offset: u64,
         count: usize,
     ) -> Result<Option<Vec<f32>>, AllocError> {
-        Ok(self.read_bytes(id, offset, count as u64 * 4)?.map(|b| {
-            b.chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        let a = self.get(id)?;
+        let len = count as u64 * 4;
+        assert!(offset + len <= a.bytes, "read beyond buffer end");
+        Ok(a.backing.bytes().map(|b| {
+            b[offset as usize..(offset + len) as usize]
+                .chunks_exact(4)
+                .map(f32_le)
                 .collect()
         }))
     }
+
+    /// Set `len` bytes at `offset` to `value` (`hipMemset`). Phantom
+    /// buffers accept and discard the fill, returning `false`.
+    pub fn fill(
+        &mut self,
+        id: BufferId,
+        offset: u64,
+        len: u64,
+        value: u8,
+    ) -> Result<bool, AllocError> {
+        let a = self.get_mut(id)?;
+        assert!(offset + len <= a.bytes, "fill beyond buffer end");
+        match a.backing.bytes_mut() {
+            Some(b) => {
+                b[offset as usize..(offset + len) as usize].fill(value);
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
+    /// `dst[i] += src[i]` over `elems` `f32`s: the reduction step of a
+    /// collective, done in place on the destination's bytes. Every input
+    /// element is read before any output element is written, even when
+    /// the two ranges overlap in one buffer.
+    pub fn reduce_add_f32s(
+        &mut self,
+        src: BufferId,
+        src_off: u64,
+        dst: BufferId,
+        dst_off: u64,
+        elems: usize,
+    ) -> Result<bool, AllocError> {
+        self.map_f32s(
+            (dst, dst_off),
+            [(dst, dst_off), (src, src_off)],
+            elems,
+            |[l, a]| l + a,
+        )
+    }
+
+    /// Elementwise `f32` map in place: `dst[i] = f([in_0[i], .., in_N-1[i]])`
+    /// for `i < elems`, each operand given as `(buffer, byte offset)`.
+    /// The result is the same as reading every input range first and
+    /// then writing the output: inputs may alias the destination, at any
+    /// offset. Returns `false` (nothing written) when any operand is
+    /// phantom; bounds are checked either way.
+    pub fn map_f32s<const N: usize>(
+        &mut self,
+        (dst, dst_off): (BufferId, u64),
+        inputs: [(BufferId, u64); N],
+        elems: usize,
+        f: impl Fn([f32; N]) -> f32,
+    ) -> Result<bool, AllocError> {
+        let len = elems as u64 * 4;
+        let mut real = true;
+        for (id, off) in inputs.iter().chain([(dst, dst_off)].iter()) {
+            let a = self.get(*id)?;
+            assert!(off + len <= a.bytes, "f32 range beyond buffer end");
+            real &= a.backing.is_real();
+        }
+        if !real || elems == 0 {
+            return Ok(real);
+        }
+        let d = dst_off as usize;
+        // Move the destination's bytes out of the table so the inputs can
+        // be borrowed from it alongside; the slot gets them back below.
+        let slot = &mut self.get_mut(dst)?.backing;
+        let mut out = std::mem::replace(slot, Backing::phantom(slot.len()));
+        let out_bytes = out.bytes_mut().expect("checked real");
+        // An input that overlaps the destination at another offset would
+        // see already-written elements: read it from a snapshot instead.
+        let snapshots: [Option<Vec<u8>>; N] = std::array::from_fn(|k| {
+            let (id, off) = inputs[k];
+            let o = off as usize;
+            let overlaps = o < d + len as usize && d < o + len as usize;
+            (id == dst && o != d && overlaps).then(|| out_bytes[o..o + len as usize].to_vec())
+        });
+        let sources: [Source<'_>; N] = std::array::from_fn(|k| {
+            let (id, off) = inputs[k];
+            if let Some(s) = &snapshots[k] {
+                Source::Other(s)
+            } else if id == dst {
+                Source::Dst(off as usize)
+            } else {
+                let b = self.get(id).expect("checked").backing.bytes();
+                Source::Other(&b.expect("checked real")[off as usize..off as usize + len as usize])
+            }
+        });
+        for i in 0..elems {
+            let args = std::array::from_fn(|k| match sources[k] {
+                Source::Other(s) => f32_le(&s[4 * i..4 * i + 4]),
+                Source::Dst(o) => f32_le(&out_bytes[o + 4 * i..o + 4 * i + 4]),
+            });
+            out_bytes[d + 4 * i..d + 4 * i + 4].copy_from_slice(&f(args).to_le_bytes());
+        }
+        self.get_mut(dst).expect("checked above").backing = out;
+        Ok(true)
+    }
+}
+
+/// Where one [`MemorySystem::map_f32s`] operand is read from.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// Another buffer's (or a snapshot's) bytes, starting at the operand.
+    Other(&'a [u8]),
+    /// The destination itself, at this byte offset.
+    Dst(usize),
+}
+
+fn f32_le(c: &[u8]) -> f32 {
+    f32::from_le_bytes([c[0], c[1], c[2], c[3]])
 }
 
 impl Default for MemorySystem {

@@ -322,6 +322,8 @@ pub enum Status {
     /// The request itself is invalid — unknown experiment, bad override,
     /// unparseable line (`400`).
     BadRequest,
+    /// The request line is longer than the daemon reads (`413`).
+    PayloadTooLarge,
     /// Admission control rejected the request: every worker is busy and
     /// the queue is full. Retry later (`429`).
     Overloaded,
@@ -339,6 +341,7 @@ impl Status {
         match self {
             Status::Ok => 200,
             Status::BadRequest => 400,
+            Status::PayloadTooLarge => 413,
             Status::Overloaded => 429,
             Status::Internal => 500,
             Status::DeadlineExceeded => 504,
@@ -350,6 +353,7 @@ impl Status {
         match self {
             Status::Ok => "ok",
             Status::BadRequest => "bad-request",
+            Status::PayloadTooLarge => "payload-too-large",
             Status::Overloaded => "overloaded",
             Status::Internal => "internal-error",
             Status::DeadlineExceeded => "deadline-exceeded",
@@ -361,6 +365,7 @@ impl Status {
         match s {
             "ok" => Ok(Status::Ok),
             "bad-request" => Ok(Status::BadRequest),
+            "payload-too-large" => Ok(Status::PayloadTooLarge),
             "overloaded" => Ok(Status::Overloaded),
             "internal-error" => Ok(Status::Internal),
             "deadline-exceeded" => Ok(Status::DeadlineExceeded),

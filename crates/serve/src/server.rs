@@ -51,6 +51,13 @@ use threadpool::ThreadPool;
 /// v2 adds the persistent-cache, single-flight, and deadline accounting.
 pub const STATS_SCHEMA: &str = "ifsim-serve-stats-v2";
 
+/// Longest request line a connection reads, in bytes (the newline not
+/// counted): far above any scenario upload the repository ships (the
+/// trace-replay uploads are a few hundred KB), low enough that one client
+/// cannot make the daemon buffer without bound. A longer line is answered
+/// with a `413` and skipped.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// Server sizing knobs.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
@@ -517,6 +524,28 @@ impl ServerCore {
         let text = serde_json::to_string(&value);
         let serialize_ns = t_ser.elapsed().as_nanos() as u64;
         self.observe_request(op, &value, t0, &trace_id, run_trace.as_ref(), serialize_ns);
+        text
+    }
+
+    /// The response to a request line longer than [`MAX_LINE_BYTES`]: a
+    /// structured `413` naming the limit (no newline). The connection
+    /// skips the rest of that line and keeps serving.
+    fn line_too_long(&self) -> String {
+        let t0 = Instant::now();
+        let trace_id = self.gen_trace_id();
+        let mut m = Map::new();
+        m.insert("op", Value::from("error"));
+        m.insert("status", Value::from(Status::PayloadTooLarge.as_str()));
+        m.insert("code", Value::from(Status::PayloadTooLarge.code()));
+        m.insert(
+            "error",
+            Value::from(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+        );
+        m.insert("limit_bytes", Value::from(MAX_LINE_BYTES as u64));
+        m.insert("trace_id", Value::from(trace_id.clone()));
+        let value = Value::Object(m);
+        let text = serde_json::to_string(&value);
+        self.observe_request("parse", &value, t0, &trace_id, None, 0);
         text
     }
 
@@ -1276,18 +1305,38 @@ impl Server {
     }
 }
 
-/// One connection: read request lines, answer each, until EOF.
+/// One connection: read request lines, answer each, until EOF. Each read
+/// scans only the bytes it added for the newline; a line that grows past
+/// [`MAX_LINE_BYTES`] is answered with a `413` as soon as it does, and its
+/// remaining bytes are dropped unread up to the next newline.
 fn handle_connection(core: Arc<ServerCore>, stream: Box<dyn Stream>) {
     // The box serves both directions; split borrows via a raw reader on
     // a clone is not available for `dyn`, so buffer reads manually.
     let mut stream = stream;
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
+    // `buf[..scanned]` holds no newline.
+    let mut scanned = 0;
+    // Inside an over-long line that has already been answered.
+    let mut skipping = false;
+    fn reply(stream: &mut Box<dyn Stream>, mut response: String) -> bool {
+        response.push('\n');
+        stream.write_all(response.as_bytes()).is_ok() && stream.flush().is_ok()
+    }
     loop {
         // Read until newline or EOF.
         let line_end = loop {
-            if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                break Some(pos);
+            if let Some(i) = buf[scanned..].iter().position(|&b| b == b'\n') {
+                break Some(scanned + i);
+            }
+            scanned = buf.len();
+            if skipping || scanned > MAX_LINE_BYTES {
+                if !skipping && !reply(&mut stream, core.line_too_long()) {
+                    return;
+                }
+                skipping = true;
+                buf.clear();
+                scanned = 0;
             }
             match stream.read(&mut chunk) {
                 Ok(0) => break None,
@@ -1299,14 +1348,136 @@ fn handle_connection(core: Arc<ServerCore>, stream: Box<dyn Stream>) {
             return;
         };
         let line: Vec<u8> = buf.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&line[..pos]).into_owned();
-        if line.trim().is_empty() {
+        scanned = 0;
+        if std::mem::take(&mut skipping) {
             continue;
         }
-        let mut response = core.handle_line(&line);
-        response.push('\n');
-        if stream.write_all(response.as_bytes()).is_err() || stream.flush().is_err() {
+        let response = if pos > MAX_LINE_BYTES {
+            core.line_too_long()
+        } else {
+            let line = String::from_utf8_lossy(&line[..pos]);
+            if line.trim().is_empty() {
+                continue;
+            }
+            core.handle_line(&line)
+        };
+        if !reply(&mut stream, response) {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    /// A connection whose client sends `input` and whose answers collect
+    /// in `output`.
+    struct Duplex<R> {
+        input: R,
+        output: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl<R: Read> Read for Duplex<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl<R> Write for Duplex<R> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `len` bytes of filler followed by a newline, generated as read;
+    /// the last 100 filler bytes and the newline come in one read.
+    fn long_line(len: usize) -> impl Read + Send {
+        let mut tail = vec![b' '; 100];
+        tail.push(b'\n');
+        std::io::repeat(b' ')
+            .take(len as u64 - 100)
+            .chain(Cursor::new(tail))
+    }
+
+    fn run_line() -> Cursor<Vec<u8>> {
+        let mut req = RunRequest::new("fig1");
+        req.overrides.quick = true;
+        Cursor::new(format!("{}\n", serde_json::to_string(&req.to_json())).into_bytes())
+    }
+
+    #[test]
+    fn over_long_lines_get_a_413_and_the_connection_keeps_serving() {
+        // One byte over the cap (the newline arrives in the read that
+        // crosses it, so the line is whole when it is refused), then a line
+        // that is refused before its end arrives; each is followed by a
+        // request that must succeed.
+        let input = long_line(MAX_LINE_BYTES + 1)
+            .chain(run_line())
+            .chain(long_line(MAX_LINE_BYTES + 3 * 4096 + 17))
+            .chain(run_line());
+        let output = Arc::new(Mutex::new(Vec::new()));
+        let core = Arc::new(ServerCore::new(ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        }));
+        let stream = Duplex {
+            input,
+            output: Arc::clone(&output),
+        };
+        handle_connection(core, Box::new(stream));
+
+        let output = String::from_utf8(output.lock().unwrap().clone()).unwrap();
+        let answers: Vec<Value> = output
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(answers.len(), 4, "{output}");
+        for too_long in [&answers[0], &answers[2]] {
+            assert_eq!(too_long.get("code").and_then(Value::as_u64), Some(413));
+            assert_eq!(
+                too_long.get("status").and_then(Value::as_str),
+                Some("payload-too-large")
+            );
+            assert_eq!(
+                too_long.get("limit_bytes").and_then(Value::as_u64),
+                Some(MAX_LINE_BYTES as u64)
+            );
+        }
+        for served in [&answers[1], &answers[3]] {
+            let resp = RunResponse::from_json(served).unwrap();
+            assert_eq!(resp.status, Status::Ok, "{output}");
+            assert_eq!(resp.experiment_id, "fig1");
+        }
+    }
+
+    #[test]
+    fn a_line_at_the_cap_is_served() {
+        // Padding inside the JSON keeps the line valid at exactly the cap.
+        let mut req = RunRequest::new("fig1");
+        req.overrides.quick = true;
+        let json = serde_json::to_string(&req.to_json());
+        let pad = MAX_LINE_BYTES - json.len();
+        let input = std::io::repeat(b' ')
+            .take(pad as u64)
+            .chain(Cursor::new(format!("{json}\n").into_bytes()));
+        let output = Arc::new(Mutex::new(Vec::new()));
+        let core = Arc::new(ServerCore::new(ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        }));
+        let stream = Duplex {
+            input,
+            output: Arc::clone(&output),
+        };
+        handle_connection(core, Box::new(stream));
+        let output = String::from_utf8(output.lock().unwrap().clone()).unwrap();
+        let resp = RunResponse::from_json(&serde_json::from_str(output.trim_end()).unwrap());
+        assert_eq!(resp.unwrap().status, Status::Ok);
     }
 }
