@@ -20,8 +20,8 @@ use std::sync::Arc;
 /// Internal state the event engine operates on.
 pub struct Inner {
     topo: NodeTopology,
-    /// Process-wide shared per (topology, link health): a fault swaps in
-    /// the router of the new health map, built once per process.
+    /// Process-wide shared while the fabric is healthy; replaced by a
+    /// sim-private router once a fault changes link health.
     router: Arc<Router>,
     calib: Calibration,
     env: EnvConfig,
@@ -1484,12 +1484,14 @@ impl Inner {
 
     // ---------------- fault application & recovery ----------------
 
-    /// Route against the current per-link health: the mid-flight reroute.
-    /// Downed links disappear from the graph; degraded links lose
-    /// bandwidth-ordering priority. Routers are shared per health map, so
-    /// a fault pattern seen before costs a lookup, not a rebuild.
+    /// Recompute all routes against the current per-link health: the
+    /// mid-flight reroute. Downed links disappear from the graph; degraded
+    /// links lose bandwidth-ordering priority.
     fn rebuild_router(&mut self) {
-        self.router = Router::shared_with_health(&self.topo, self.fabric_health.health());
+        self.router = Arc::new(Router::new_with_health(
+            &self.topo,
+            self.fabric_health.health(),
+        ));
     }
 
     /// Apply one scheduled fault: update health state, re-derive link

@@ -255,6 +255,16 @@ fn fabric_link_utils(telemetry: &CollectedTelemetry) -> Vec<(String, f64, f64)> 
         .collect()
 }
 
+/// The body of an error response: `op`, `status`, `code` and `error`.
+fn error_object(status: Status, message: String) -> Map {
+    let mut m = Map::new();
+    m.insert("op", Value::from("error"));
+    m.insert("status", Value::from(status.as_str()));
+    m.insert("code", Value::from(status.code()));
+    m.insert("error", Value::from(message));
+    m
+}
+
 /// Parse and compile an inline scenario document into a runnable
 /// experiment, prefixing error field paths with `scenario.` so they name
 /// the request field they live under.
@@ -476,13 +486,9 @@ impl ServerCore {
             .unwrap_or_else(|| self.gen_trace_id());
         let parsed = decoded.and_then(|v| proto::parse_request_value(&v));
         let mut run_trace = None;
-        let (op, mut value) = match parsed {
+        let (op, value) = match parsed {
             Err(e) => {
-                let mut m = Map::new();
-                m.insert("op", Value::from("error"));
-                m.insert("status", Value::from(Status::BadRequest.as_str()));
-                m.insert("code", Value::from(Status::BadRequest.code()));
-                m.insert("error", Value::from(e.to_string()));
+                let mut m = error_object(Status::BadRequest, e.to_string());
                 if !e.field.is_empty() {
                     m.insert("field", Value::from(e.field));
                 }
@@ -513,18 +519,7 @@ impl ServerCore {
                 ("run", resp.to_json())
             }
         };
-        // Every non-ping response names its trace (pong stays minimal:
-        // it is the hot liveness path).
-        if op != "ping" {
-            if let Value::Object(ref mut m) = value {
-                m.insert("trace_id", Value::from(trace_id.clone()));
-            }
-        }
-        let t_ser = Instant::now();
-        let text = serde_json::to_string(&value);
-        let serialize_ns = t_ser.elapsed().as_nanos() as u64;
-        self.observe_request(op, &value, t0, &trace_id, run_trace.as_ref(), serialize_ns);
-        text
+        self.finish_response(op, value, t0, &trace_id, run_trace.as_ref())
     }
 
     /// The response to a request line longer than [`MAX_LINE_BYTES`]: a
@@ -532,20 +527,33 @@ impl ServerCore {
     /// skips the rest of that line and keeps serving.
     fn line_too_long(&self) -> String {
         let t0 = Instant::now();
-        let trace_id = self.gen_trace_id();
-        let mut m = Map::new();
-        m.insert("op", Value::from("error"));
-        m.insert("status", Value::from(Status::PayloadTooLarge.as_str()));
-        m.insert("code", Value::from(Status::PayloadTooLarge.code()));
-        m.insert(
-            "error",
-            Value::from(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+        let mut m = error_object(
+            Status::PayloadTooLarge,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
         );
         m.insert("limit_bytes", Value::from(MAX_LINE_BYTES as u64));
-        m.insert("trace_id", Value::from(trace_id.clone()));
-        let value = Value::Object(m);
+        self.finish_response("parse", Value::Object(m), t0, &self.gen_trace_id(), None)
+    }
+
+    /// Stamp `trace_id` on every non-ping response (pong stays minimal:
+    /// it is the hot liveness path), serialize it, and record the request.
+    fn finish_response(
+        &self,
+        op: &str,
+        mut value: Value,
+        t0: Instant,
+        trace_id: &str,
+        run_trace: Option<&RunTrace>,
+    ) -> String {
+        if op != "ping" {
+            if let Value::Object(ref mut m) = value {
+                m.insert("trace_id", Value::from(trace_id.to_string()));
+            }
+        }
+        let t_ser = Instant::now();
         let text = serde_json::to_string(&value);
-        self.observe_request("parse", &value, t0, &trace_id, None, 0);
+        let serialize_ns = t_ser.elapsed().as_nanos() as u64;
+        self.observe_request(op, &value, t0, trace_id, run_trace, serialize_ns);
         text
     }
 

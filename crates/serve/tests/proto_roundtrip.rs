@@ -107,6 +107,7 @@ fn arb_status() -> impl Strategy<Value = Status> {
         Just(Status::Overloaded),
         Just(Status::Internal),
         Just(Status::DeadlineExceeded),
+        Just(Status::PayloadTooLarge),
     ]
 }
 

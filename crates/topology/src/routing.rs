@@ -115,12 +115,10 @@ fn max_hops(topo: &NodeTopology) -> usize {
     topo.n_gcds().saturating_sub(1).clamp(4, 7)
 }
 
-/// Routers already built, keyed by topology and link-health equality. A
-/// process uses a handful of topologies and health maps; past `SHARED_CAP`
-/// the least recently used entry is dropped, so sweeps over custom
-/// topologies or fault patterns cannot grow it without bound.
-type SharedEntry = (NodeTopology, HealthMap, Arc<Router>);
-static SHARED: Mutex<Vec<SharedEntry>> = Mutex::new(Vec::new());
+/// Healthy routers already built, keyed by topology equality. A process
+/// uses a handful of topologies; past `SHARED_CAP` the oldest entry is
+/// dropped, so sweeps over custom topologies cannot grow it without bound.
+static SHARED: Mutex<Vec<(NodeTopology, Arc<Router>)>> = Mutex::new(Vec::new());
 const SHARED_CAP: usize = 8;
 
 impl Router {
@@ -147,44 +145,30 @@ impl Router {
 
     /// The healthy router for `topo`, built once per process and shared:
     /// routes depend on the topology alone, so every simulator over an
-    /// equal topology can hold the same immutable instance.
+    /// equal topology can hold the same immutable instance. A simulator
+    /// whose link health changes builds its own with
+    /// [`Router::new_with_health`] and never touches the shared one.
     pub fn shared(topo: &NodeTopology) -> Arc<Router> {
-        Self::shared_with_health(topo, &HealthMap::healthy(topo))
-    }
-
-    /// The router for `topo` under `health`, built once per process and
-    /// shared like [`Router::shared`]: simulators hit by the same faults
-    /// reuse one instance, and a simulator whose links recover gets the
-    /// healthy one back. Equal to [`Router::new_with_health`] (and, for an
-    /// all-healthy map, to [`Router::new`], whose connectivity check
-    /// applies).
-    pub fn shared_with_health(topo: &NodeTopology, health: &HealthMap) -> Arc<Router> {
         let memo = || SHARED.lock().expect("router memo lock");
-        let lookup = |memo: &mut Vec<SharedEntry>| {
-            let i = memo.iter().position(|(t, h, _)| h == health && t == topo)?;
-            let entry = memo.remove(i);
-            let router = Arc::clone(&entry.2);
-            memo.push(entry);
-            Some(router)
+        let lookup = |memo: &[(NodeTopology, Arc<Router>)]| {
+            memo.iter()
+                .find(|(t, _)| t == topo)
+                .map(|(_, r)| Arc::clone(r))
         };
-        if let Some(r) = lookup(&mut memo()) {
+        if let Some(r) = lookup(&memo()) {
             return r;
         }
         // Built outside the lock: a disconnected topology panics here
         // without poisoning the memo, and other threads are not held up.
-        let built = Arc::new(if health.all_healthy() {
-            Router::new(topo)
-        } else {
-            Router::new_with_health(topo, health)
-        });
+        let built = Arc::new(Router::new(topo));
         let mut memo = memo();
-        if let Some(r) = lookup(&mut memo) {
+        if let Some(r) = lookup(&memo) {
             return r;
         }
         if memo.len() == SHARED_CAP {
             memo.remove(0);
         }
-        memo.push((topo.clone(), health.clone(), Arc::clone(&built)));
+        memo.push((topo.clone(), Arc::clone(&built)));
         built
     }
 
